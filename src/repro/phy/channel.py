@@ -16,11 +16,13 @@ Two interchangeable link-budget representations exist (``link_budget=``):
 * ``"sparse"`` — a uniform-grid spatial index (:mod:`repro.phy.spatial`)
   sized to the reach radius, storing only per-source CSR-style
   reach/power/delay arrays for pairs that can actually hear each other:
-  O(n·k) in the local density k.  Mobility ticks go through
-  :meth:`move_nodes`, which re-bins the moved nodes and recomputes only
-  the affected grid neighborhoods.  Both representations produce
-  bit-identical reach lists, powers and delays (the golden-equivalence
-  tests pin this), so results never depend on the choice.
+  O(n·k) in the local density k.  :meth:`set_positions` builds every row
+  in one batched pass; :meth:`move_nodes` and :meth:`set_link_offsets`
+  only mark the rows they change *dirty*, and a dirty row is rebuilt
+  alone when :meth:`transmit` or :meth:`neighbors` next reads it.  Both
+  representations produce bit-identical reach lists, powers and delays
+  (the golden-equivalence tests pin this), so results never depend on
+  the choice.
 
 ``"auto"`` (the default) picks sparse for large shadowing-free topologies
 and dense otherwise.
@@ -173,6 +175,13 @@ class Channel(Component):
         self._offset_vals: np.ndarray = _EMPTY_F64
         self._offset_src: np.ndarray = _EMPTY_IDS
 
+        #: Link-budget rows computed so far, by full builds and the sparse
+        #: one-row refresh alike — an exact work counter.
+        self.rows_built = 0
+        #: Sparse rows a move or an offset change left out of date; each is
+        #: rebuilt when it is next read.
+        self._stale: set[int] = set()
+
         # Sparse machinery (populated by set_positions in sparse mode).
         self._grid: UniformGrid | None = None
         self._candidate_radius_m = 0.0
@@ -181,7 +190,7 @@ class Channel(Component):
             self._candidate_radius_m = model.max_range_m(
                 self.tx_power_dbm,
                 self.reach_threshold_dbm - self._headroom_db)
-            self.reach: list[np.ndarray] = [_EMPTY_IDS] * self.n_nodes
+            self._reach: list[np.ndarray] = [_EMPTY_IDS] * self.n_nodes
             self._reach_power_arrays: list[np.ndarray] = \
                 [_EMPTY_F64] * self.n_nodes
             self._reach_ids: list[list] = [[]] * self.n_nodes
@@ -219,11 +228,12 @@ class Channel(Component):
 
         Called at construction and on wholesale placement changes.  Dense
         mode recomputes the full N×N matrices in one vectorized pass;
-        sparse mode re-bins the grid and rebuilds every per-source row
-        (still O(n·k)).  Mobility managers should prefer :meth:`move_nodes`,
-        which only touches the affected neighborhoods.  Frames already in
-        flight keep the power they were launched with (mobility ticks are
-        coarse against packet airtimes).
+        sparse mode re-bins the grid and eagerly rebuilds every per-source
+        row in one batched pass (still O(n·k)), leaving no row dirty.
+        Mobility managers should prefer :meth:`move_nodes`, which only
+        marks the affected rows dirty.  Frames already in flight keep the
+        power they were launched with (mobility ticks are coarse against
+        packet airtimes).
         """
         positions = np.asarray(positions, dtype=float)
         if positions.shape != (self.n_nodes, self.dim):
@@ -233,7 +243,7 @@ class Channel(Component):
         self.positions = positions.copy()
         if self.link_budget == "sparse":
             self._rebin_grid()
-            self._rebuild_sources(None)
+            self._build_rows()
         else:
             self._rebuild_dense_geometry()
             self._rebuild_dense_power()
@@ -242,13 +252,12 @@ class Channel(Component):
     def move_nodes(self, ids, new_positions) -> None:
         """Incremental mobility update: ``ids`` moved to ``new_positions``.
 
-        Sparse mode re-bins only the moved nodes and recomputes the link
-        budget solely for sources whose grid neighborhood contained a moved
-        node before or after the move — everyone else's rows are untouched,
-        so a tick where a fraction of the network moves costs a fraction of
-        a rebuild.  Dense mode falls back to the full recomputation (the
-        matrices are monolithic).  Results are identical to a full
-        :meth:`set_positions` with the same final positions.
+        Sparse mode re-bins the grid and marks dirty every source whose
+        cell lies within one cell of a moved node's old or new cell, plus
+        the sources of offset-bearing links to a moved node: O(|ids|·3**dim
+        + n), no row recomputed.  Dense mode falls back to the full
+        recomputation.  Every row read afterwards is bit-identical to a
+        full :meth:`set_positions` with the same final positions.
         """
         ids = np.asarray(ids, dtype=np.int64)
         new_positions = np.asarray(new_positions, dtype=float)
@@ -267,23 +276,16 @@ class Channel(Component):
             self._after_rebuild()
             return
         assert self._grid is not None
-        if len(ids) >= self.n_nodes:
-            # Everyone moved: the affected set is everyone by definition,
-            # so skip the neighborhood bookkeeping and rebuild outright.
-            self.positions[ids] = new_positions
-            self._rebin_grid()
-            self._rebuild_sources(None)
-            self._after_rebuild()
-            return
-        affected_old = self._grid.neighborhood_members(ids)
+        # Absolute cells: the re-bin may shift the grid's normalized frame.
+        old_cells = self._grid.cell_of(self.positions[ids])
         self.positions[ids] = new_positions
         self._rebin_grid()
-        affected_new = self._grid.neighborhood_members(ids)
-        affected = np.union1d(affected_old, affected_new)
-        # When (nearly) everyone is affected the restricted pass degenerates
-        # to the full one; take the simpler code path.
-        self._rebuild_sources(None if len(affected) >= self.n_nodes
-                              else affected)
+        self._stale.update(self._grid.members_near(np.concatenate(
+            [old_cells, self._grid.cell_of(new_positions)])).tolist())
+        if len(self._offset_pk):
+            # An offset-bearing pair is in its source's row at any range.
+            hit = np.isin(self._offset_pk % self.n_nodes, ids)
+            self._stale.update(self._offset_src[hit].tolist())
         self._after_rebuild()
 
     def set_link_offsets(
@@ -297,18 +299,14 @@ class Channel(Component):
         ``{(i, j): db}`` mapping.  Positions are unchanged by definition, so
         neither representation recomputes geometry: dense mode re-derives
         power/reach from the cached distance matrix (no pathloss model
-        evaluation), sparse mode rebuilds only the rows of sources that
-        carry an offset before or after this call.  Frames already in
-        flight keep the power they were launched with.
+        evaluation), sparse mode marks dirty the rows of sources that carry
+        an offset before or after this call (rebuilt when next read).
+        Frames already in flight keep the power they were launched with.
         """
         pairs = self._normalize_offsets(offsets_db)
         if self.link_budget == "sparse":
-            changed = {i for i, _ in self._offset_pairs} | \
-                      {i for i, _ in pairs}
+            self._stale.update(i for i, _ in [*self._offset_pairs, *pairs])
             self._store_sparse_offsets(pairs)
-            if changed:
-                self._rebuild_sources(
-                    np.fromiter(changed, dtype=np.int64, count=len(changed)))
         else:
             if pairs:
                 matrix = np.zeros((self.n_nodes, self.n_nodes))
@@ -400,17 +398,18 @@ class Channel(Component):
         reachable = self.rx_power_dbm >= (self.reach_threshold_dbm
                                           - self._headroom_db)
         np.fill_diagonal(reachable, False)
-        self.reach = [np.flatnonzero(reachable[i]) for i in range(self.n_nodes)]
+        self._reach = [np.flatnonzero(reachable[i]) for i in range(self.n_nodes)]
+        self.rows_built += self.n_nodes
 
         # Hot-path mirrors of the per-source slices: transmit() iterates
         # plain Python lists (no numpy scalar boxing per receiver) and, for
         # stochastic models, adds the fade to a pre-sliced power array.
-        self._reach_ids = [r.tolist() for r in self.reach]
+        self._reach_ids = [r.tolist() for r in self._reach]
         self._reach_power_arrays = [self.rx_power_dbm[i, r]
-                                    for i, r in enumerate(self.reach)]
+                                    for i, r in enumerate(self._reach)]
         self._reach_powers = [p.tolist() for p in self._reach_power_arrays]
         self._reach_delays = [self.delay_s[i, r].tolist()
-                              for i, r in enumerate(self.reach)]
+                              for i, r in enumerate(self._reach)]
 
     # ---------------------------------------------------- sparse link budget
 
@@ -431,35 +430,61 @@ class Channel(Component):
             out[hit] = self._offset_vals[pos_c[hit]]
         return out
 
-    def _rebuild_sources(self, sources: np.ndarray | None) -> None:
-        """Recompute the per-source reach/power/delay rows.
-
-        ``sources=None`` rebuilds every row (fresh structures); an id array
-        patches only those rows in place.  One vectorized pass over the
-        candidate pairs either way — the same arithmetic, in the same
-        elementwise order, as the dense matrices, so the surviving values
-        are bit-identical to the dense representation's.
-        """
+    def _build_rows(self) -> None:
+        """Build every per-source reach/power/delay row in one vectorized
+        pass over the grid's candidate pairs."""
         assert self._grid is not None
         n = self.n_nodes
-        full = sources is None
-        if full:
-            sources = np.arange(n, dtype=np.int64)
-        else:
-            sources = np.unique(np.asarray(sources, dtype=np.int64))
+        srcs, dsts = self._grid.candidates(np.arange(n, dtype=np.int64))
+        srcs, dsts, power, delay = self._link_values(srcs * n + dsts,
+                                                     self._offset_pk)
+        counts = np.bincount(srcs, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indptr = indptr.tolist()  # plain-int slice bounds: faster slicing
+        ids_list = dsts.tolist()
+        powers_list = power.tolist()
+        delays_list = delay.tolist()
+        # Batch the per-source slicing through shared slice objects —
+        # measurably faster than an indexed store loop at n=10k.
+        slices = list(map(slice, indptr[:-1], indptr[1:]))
+        self._reach = [dsts[sl] for sl in slices]
+        self._reach_power_arrays = [power[sl] for sl in slices]
+        self._reach_ids = [ids_list[sl] for sl in slices]
+        self._reach_powers = [powers_list[sl] for sl in slices]
+        self._reach_delays = [delays_list[sl] for sl in slices]
+        self._stale.clear()
+        self.rows_built += n
 
-        srcs, dsts = self._grid.candidates(sources)
-        pk = srcs * n + dsts
-        has_extras = False
-        if len(self._offset_pk):
+    def _refresh_row(self, src: int) -> None:
+        """Rebuild the dirty row of ``src`` alone, from the same candidate
+        set as :meth:`_build_rows` (the source's grid neighborhood), so the
+        row is bit-identical to a batched build's."""
+        assert self._grid is not None
+        self._stale.discard(src)
+        dsts = self._grid.neighborhood(src)
+        _, dsts, power, delay = self._link_values(
+            src * self.n_nodes + dsts[dsts != src],
+            self._offset_pk[self._offset_src == src])
+        self._reach[src] = dsts
+        self._reach_power_arrays[src] = power
+        self._reach_ids[src] = dsts.tolist()
+        self._reach_powers[src] = power.tolist()
+        self._reach_delays[src] = delay.tolist()
+        self.rows_built += 1
+
+    def _link_values(self, pk: np.ndarray, offset_pk: np.ndarray,
+                     floor_dbm: float | None = None,
+                     radius_m: float | None = None):
+        """Packed ``src * n + dst`` grid candidates (within ``radius_m``)
+        and offset-bearing pairs in; the sorted ``(src, dst)`` pairs that
+        clear ``floor_dbm`` (default: the reach floor) with their powers
+        and delays out — the dense matrices' arithmetic, bit-identical."""
+        n = self.n_nodes
+        if len(offset_pk):
             # Offset-bearing pairs are candidates even beyond the grid
             # radius: a positive offset can extend reach.
-            extra = np.isin(self._offset_src, sources)
-            if extra.any():
-                pk = np.concatenate([pk, self._offset_pk[extra]])
-                has_extras = True
-        if has_extras:
-            pk = np.unique(pk)  # sorted by (src, dst); dedups the extras
+            pk = np.unique(np.concatenate([pk, offset_pk]))
         else:
             # Grid candidates are unique by construction (neighbor cells
             # are disjoint): a plain sort gives the same (src, dst) order
@@ -467,16 +492,13 @@ class Channel(Component):
             pk.sort()
         srcs = pk // n
         dsts = pk % n
-
-        # 1-D per-axis gathers beat fancy-indexing (k, dim) rows by a wide
-        # margin, and the left-to-right ``dx*dx + dy*dy [+ dz*dz]`` sum is
-        # bit-identical to the dense matrix's ``(diff**2).sum(axis=-1)``
-        # (numpy's axis sum over 2 or 3 elements is the same sequential
-        # addition order).
-        pos = self.positions
-        axes = [np.ascontiguousarray(pos[:, a]) for a in range(self.dim)]
+        # Per-axis 1-D gathers; the left-to-right ``dx*dx + dy*dy
+        # [+ dz*dz]`` sum is bit-identical to the dense matrix's
+        # ``(diff**2).sum(axis=-1)`` (numpy's axis sum over 2 or 3
+        # elements is the same sequential addition order).
         d2 = None
-        for axis in axes:
+        for a in range(self.dim):
+            axis = self.positions[:, a]
             delta = axis[srcs] - axis[dsts]
             sq = delta * delta
             d2 = sq if d2 is None else d2 + sq
@@ -485,58 +507,23 @@ class Channel(Component):
             # corners by squared distance before paying for sqrt/log10 on
             # them — only ~π/9 of candidates survive.  The slack absorbs
             # ulp-level rounding; the exact power test below still decides.
-            r = self._candidate_radius_m + 1e-6
+            r = (self._candidate_radius_m if radius_m is None
+                 else radius_m) + 1e-6
             within = d2 <= r * r
-            srcs = srcs[within]
-            dsts = dsts[within]
-            d2 = d2[within]
             pk = pk[within]
+            d2 = d2[within]
         dist = np.sqrt(d2)
         power = self.model.rx_power_dbm(self.tx_power_dbm, dist)
         if len(self._offset_pk):
             power = power + self._offsets_for_keys(pk)
-        keep = power >= (self.reach_threshold_dbm - self._headroom_db)
-        srcs = srcs[keep]
-        dsts = dsts[keep]
+        if floor_dbm is None:
+            floor_dbm = self.reach_threshold_dbm - self._headroom_db
+        keep = power >= floor_dbm
+        pk = pk[keep]
         dist = dist[keep]
-        power = power[keep]
-        if self._propagation_delay:
-            delay = dist / SPEED_OF_LIGHT
-        else:
-            delay = np.zeros_like(dist)
-
-        counts = np.bincount(srcs, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indptr = indptr.tolist()  # plain-int slice bounds: faster slicing
-        ids_list = dsts.tolist()
-        powers_list = power.tolist()
-        delays_list = delay.tolist()
-
-        if full:
-            # Rebuilding every row: batch the per-source slicing through
-            # shared slice objects — measurably faster than an indexed
-            # store loop at n=10k, and this is the mobility-tick hot path.
-            slices = list(map(slice, indptr[:-1], indptr[1:]))
-            self.reach = [dsts[sl] for sl in slices]
-            self._reach_power_arrays = [power[sl] for sl in slices]
-            self._reach_ids = [ids_list[sl] for sl in slices]
-            self._reach_powers = [powers_list[sl] for sl in slices]
-            self._reach_delays = [delays_list[sl] for sl in slices]
-            return
-        reach = self.reach
-        power_arrays = self._reach_power_arrays
-        reach_ids = self._reach_ids
-        reach_powers = self._reach_powers
-        reach_delays = self._reach_delays
-        for s in sources.tolist():
-            lo = indptr[s]
-            hi = indptr[s + 1]
-            reach[s] = dsts[lo:hi]
-            power_arrays[s] = power[lo:hi]
-            reach_ids[s] = ids_list[lo:hi]
-            reach_powers[s] = powers_list[lo:hi]
-            reach_delays[s] = delays_list[lo:hi]
+        delay = (dist / SPEED_OF_LIGHT if self._propagation_delay
+                 else np.zeros_like(dist))
+        return pk // n, pk % n, power[keep], delay
 
     # ------------------------------------------------------------- accessors
 
@@ -557,7 +544,7 @@ class Channel(Component):
         what the ``repro_channel_link_budget_bytes`` gauge reports."""
         total = 0
         if self.link_budget == "sparse":
-            for row in self.reach:
+            for row in self._reach:
                 total += row.nbytes
             for row in self._reach_power_arrays:
                 total += row.nbytes
@@ -600,38 +587,30 @@ class Channel(Component):
         exact power test the dense row comparison would."""
         assert self._grid is not None
         radius = self._radius_for_threshold(threshold_dbm)
-        cell = self._grid.cell_size_m
-        reach_cells = max(1, int(math.ceil(radius / cell)))
-        source = np.array([node_id], dtype=np.int64)
-        srcs, dsts = self._grid.candidates(source, reach_cells=reach_cells)
-        n = self.n_nodes
-        pk = srcs * n + dsts
-        if len(self._offset_pk):
-            extra = self._offset_src == node_id
-            if extra.any():
-                pk = np.concatenate([pk, self._offset_pk[extra]])
-        pk = np.unique(pk)
-        dsts = pk % n
-        pos = self.positions
-        diff = pos[node_id] - pos[dsts]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        power = self.model.rx_power_dbm(self.tx_power_dbm, dist)
-        if len(self._offset_pk):
-            power = power + self._offsets_for_keys(pk)
-        return dsts[power >= threshold_dbm]
+        dsts = self._grid.neighborhood(
+            node_id, max(1, math.ceil(radius / self._grid.cell_size_m)))
+        return self._link_values(
+            node_id * self.n_nodes + dsts[dsts != node_id],
+            self._offset_pk[self._offset_src == node_id],
+            threshold_dbm, radius)[1]
 
     def neighbors(self, node_id: int, threshold_dbm: float | None = None) -> np.ndarray:
         """Node ids whose mean received power from ``node_id`` clears the
         threshold (defaults to the channel reach floor).
 
-        The default-threshold answer is the precomputed ``reach`` list;
-        explicit thresholds are computed on demand and memoized in an LRU
+        The default-threshold answer is the precomputed reach row,
+        rebuilt first if it is dirty — in sparse mode the stored rows can
+        be out of date after :meth:`move_nodes` or :meth:`set_link_offsets`,
+        so this is the way to read one.  Explicit thresholds are computed
+        on demand and memoized in an LRU
         cache bounded to :data:`NEIGHBOR_CACHE_THRESHOLDS` distinct
         thresholds (invalidated by any link-budget rebuild), so threshold
         sweeps cannot grow the memo without limit.
         """
         if threshold_dbm is None:
-            return self.reach[node_id]
+            if node_id in self._stale:
+                self._refresh_row(node_id)
+            return self._reach[node_id]
         per_threshold = self._neighbors_cache.get(threshold_dbm)
         if per_threshold is None:
             while len(self._neighbors_cache) >= NEIGHBOR_CACHE_THRESHOLDS:
@@ -657,8 +636,9 @@ class Channel(Component):
 
         Called by the source transceiver, which has already entered TX.
         The per-source receiver/power/delay slices are precomputed by the
-        link-budget rebuilds; this method is an indexed lookup plus one
-        batched schedule call, identical under either representation.
+        link-budget rebuilds (a dirty sparse row is rebuilt first); this
+        method is an indexed lookup plus one batched schedule call,
+        identical under either representation.
         """
         kind = frame.kind
         self.tx_count += 1
@@ -673,6 +653,8 @@ class Channel(Component):
                                payload.uid if payload is not None else None,
                                kind, duration)
 
+        if src_id in self._stale:
+            self._refresh_row(src_id)
         receivers = self._reach_ids[src_id]
         if not receivers:
             return

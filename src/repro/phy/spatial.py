@@ -48,7 +48,7 @@ class UniformGrid:
         Mobility calls this each tick with mostly-unchanged positions; the
         binning itself is cheap (a floor-divide, a normalize and an argsort),
         it is the *link budget* downstream that is worth recomputing only
-        for the affected neighborhoods.
+        for the rows that are read.
         """
         positions = np.asarray(positions, dtype=float)
         n = len(positions)
@@ -57,32 +57,40 @@ class UniformGrid:
             self.dim = 2
             self._cells: list[np.ndarray] = [_EMPTY, _EMPTY]
             self._ncells: list[int] = [1, 1]
-            self._order = _EMPTY
-            self._sorted_keys = _EMPTY
+            self._origin = np.zeros(2, dtype=np.int64)
+            self._order = self._sorted_keys = _EMPTY
             return
         if positions.ndim != 2 or positions.shape[1] not in (2, 3):
             raise ValueError(
                 f"positions must be (N, 2) or (N, 3), got {positions.shape}")
         self.dim = positions.shape[1]
-        cells = []
-        for axis in range(self.dim):
-            c = np.floor(positions[:, axis] / self.cell_size_m).astype(np.int64)
-            # Normalize to a zero-based box so linear keys stay small and
-            # positive whatever the coordinate frame (mobility reflection
-            # can momentarily produce negative coordinates).
-            c -= c.min()
-            cells.append(c)
-        self._cells = cells
-        self._ncells = [int(c.max()) + 1 for c in cells]
+        absolute = self.cell_of(positions)
+        # Normalize to a zero-based box so linear keys stay small and
+        # positive whatever the coordinate frame.  The frame follows the
+        # minimum cell, so cells compared across rebins are absolute.
+        self._origin = absolute.min(axis=0)
+        relative = absolute - self._origin
+        self._cells = [np.ascontiguousarray(relative[:, a])
+                       for a in range(self.dim)]
+        self._ncells = [int(c.max()) + 1 for c in self._cells]
         # Mixed-radix linear key: for 2-D exactly the historical
         # ``cx * ncy + cy``, so 2-D candidate order (and therefore the
         # sparse link budget's bit-identity guarantee) is unchanged.
-        keys = cells[0]
-        for c, nc in zip(cells[1:], self._ncells[1:]):
-            keys = keys * nc + c
-        order = np.argsort(keys, kind="stable")
-        self._order = order
-        self._sorted_keys = keys[order]
+        keys = self._linear_keys(relative)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._order]
+
+    def cell_of(self, positions: np.ndarray) -> np.ndarray:
+        """Absolute (frame-independent) ``(k, dim)`` integer cells."""
+        return np.floor(np.asarray(positions, dtype=float)
+                        / self.cell_size_m).astype(np.int64)
+
+    def _linear_keys(self, cells: np.ndarray,
+                     radix: list[int] | None = None) -> np.ndarray:
+        keys = cells[:, 0]
+        for axis in range(1, self.dim):
+            keys = keys * (radix or self._ncells)[axis] + cells[:, axis]
+        return keys
 
     # -------------------------------------------------------------- queries
 
@@ -139,14 +147,40 @@ class UniformGrid:
         keep = srcs != dsts
         return srcs[keep], dsts[keep]
 
-    def neighborhood_members(self, ids: np.ndarray,
-                             reach_cells: int = 1) -> np.ndarray:
-        """Unique node ids in the cell neighborhoods of ``ids`` (including
-        ``ids`` themselves) — the set whose link-budget rows a move of
-        ``ids`` can possibly change."""
-        ids = np.asarray(ids, dtype=np.int64)
-        _, dsts = self.candidates(ids, reach_cells=reach_cells)
-        return np.union1d(dsts, ids)
+    def neighborhood(self, node: int, reach_cells: int = 1) -> np.ndarray:
+        """Ids in the ``(2·reach_cells+1)**dim`` cell neighborhood of
+        ``node`` (itself included), unsorted — the one-source form of
+        :meth:`candidates`.  The neighborhood is runs of consecutive keys
+        along the last axis, found by one pair of searchsorted calls
+        instead of a vectorized pass per neighbor cell."""
+        spans = [range(max(int(c[node]) - reach_cells, 0),
+                       min(int(c[node]) + reach_cells + 1, n))
+                 for c, n in zip(self._cells, self._ncells)]
+        run = spans[-1]
+        starts = self._linear_keys(
+            np.array(list(itertools.product(*spans[:-1], run[:1]))))
+        keys = self._sorted_keys
+        lo = keys.searchsorted(starts, "left").tolist()
+        hi = keys.searchsorted(starts + (len(run) - 1), "right").tolist()
+        return np.concatenate([self._order[a:b] for a, b in zip(lo, hi)])
+
+    def members_near(self, cells: np.ndarray) -> np.ndarray:
+        """Sorted ids of the nodes whose cell lies within one cell (per axis)
+        of any absolute cell in ``cells`` (``(k, dim)``, as :meth:`cell_of`
+        returns).  O(k·3**dim + n)."""
+        # Key cells in the grid's frame padded by two cells per side: nodes
+        # sit in padded cells 2..nc+1, so only query cells in 1..nc+2 can
+        # touch one, and a one-cell step from those stays in 0..nc+3 — a
+        # fixed key offset that never wraps an axis.
+        radix = [nc + 4 for nc in self._ncells]
+        rel = cells - self._origin + 2
+        rel = rel[((rel >= 1) & (rel <= np.array(radix) - 2)).all(axis=1)]
+        steps = self._linear_keys(
+            np.array(list(itertools.product((-1, 0, 1), repeat=self.dim))),
+            radix)
+        near = (self._linear_keys(rel, radix)[:, None] + steps).ravel()
+        nodes = self._linear_keys(np.stack(self._cells, axis=1) + 2, radix)
+        return np.flatnonzero(np.isin(nodes, near))
 
     def index_bytes(self) -> int:
         """Approximate bytes held by the index arrays (for the channel's

@@ -20,7 +20,7 @@ the target instead of just spacing.
 Deterministic (no randomness), dimension-agnostic (forces sum per axis over
 however many axes the arena carries), and incremental: moves flow through
 :meth:`~repro.phy.channel.Channel.move_nodes`, so the sparse link budget
-only recomputes the touched neighborhoods.
+only marks the touched rows dirty.
 """
 
 from __future__ import annotations

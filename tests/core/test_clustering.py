@@ -36,7 +36,7 @@ class TestElection:
         for node in nodes:
             if not node.is_head and node.head is not None:
                 assert node.head in heads
-                assert node.head in channel.reach[node.node_id]
+                assert node.head in channel.neighbors(node.node_id)
 
     def test_heads_are_a_minority_on_a_clique(self, ctx):
         # Fully connected: the first announcement suppresses everyone, so a

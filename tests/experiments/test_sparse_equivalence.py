@@ -24,6 +24,7 @@ from repro.sim.rng import RandomStreams
 from repro.topology.mobility import MobilityConfig, RandomWaypoint
 
 from tests.experiments.test_golden_equivalence import EXACT, GOLDEN, INTERVAL_S
+from tests.phy.rows import link_row
 
 
 def run_fig1_cell(protocol: str, seed: int, link_budget: str):
@@ -77,10 +78,11 @@ def test_static_reach_sets_and_rx_powers_identical():
     assert dense.channel.link_budget == "dense"
     assert sparse.channel.link_budget == "sparse"
     for node in range(80):
-        assert np.array_equal(dense.channel.reach[node],
-                              sparse.channel.reach[node])
-        d_power = dense.channel._reach_power_arrays[node]
-        s_power = sparse.channel._reach_power_arrays[node]
+        d_row = link_row(dense.channel, node)
+        s_row = link_row(sparse.channel, node)
+        assert np.array_equal(d_row.reach, s_row.reach)
+        d_power = d_row.power_array
+        s_power = s_row.power_array
         np.testing.assert_allclose(s_power, d_power, rtol=0.0, atol=1e-9)
         assert np.array_equal(d_power, s_power)  # in fact bit-identical
 

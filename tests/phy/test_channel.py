@@ -32,14 +32,14 @@ class TestLinkBudget:
     def test_reach_excludes_self(self, ctx):
         channel, _, _ = make_phy_stack(ctx, line_positions(3, spacing=100.0))
         for i in range(3):
-            assert i not in channel.reach[i]
+            assert i not in channel.neighbors(i)
 
     def test_reach_respects_threshold(self, ctx):
         # 200 m spacing, 250 m rx range, ~354 m CS reach: node 0 senses
         # nodes 1 (200 m) but not node 3 (600 m).
         channel, _, _ = make_phy_stack(ctx, line_positions(4, spacing=200.0))
-        assert 1 in channel.reach[0]
-        assert 3 not in channel.reach[0]
+        assert 1 in channel.neighbors(0)
+        assert 3 not in channel.neighbors(0)
 
     def test_neighbors_with_explicit_threshold(self, ctx):
         channel, radios, config = make_phy_stack(ctx, line_positions(3, spacing=200.0))
@@ -109,4 +109,4 @@ class TestFading:
         # Nodes slightly beyond the deterministic reach can still be reached
         # through a constructive fade, so they must be in the reach list.
         channel, radios = self._fading_channel(ctx, spacing=400.0)
-        assert 1 in channel.reach[0]
+        assert 1 in channel.neighbors(0)

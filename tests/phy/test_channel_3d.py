@@ -7,6 +7,7 @@ import pytest
 from repro.phy.channel import Channel
 from repro.phy.propagation import FreeSpace, range_to_threshold_dbm
 from repro.sim.components import SimContext
+from tests.phy.rows import link_row
 
 
 def make_channel(positions, link_budget="dense"):
@@ -26,9 +27,9 @@ def positions_3d(n, seed, extent=900.0, depth=200.0):
 def assert_budgets_identical(a, b):
     assert a.n_nodes == b.n_nodes
     for node in range(a.n_nodes):
-        assert np.array_equal(a.reach[node], b.reach[node])
-        assert np.array_equal(a._reach_power_arrays[node],
-                              b._reach_power_arrays[node])
+        row_a, row_b = link_row(a, node), link_row(b, node)
+        assert np.array_equal(row_a.reach, row_b.reach)
+        assert np.array_equal(row_a.power_array, row_b.power_array)
 
 
 @pytest.mark.parametrize("n", [64, 512])

@@ -22,6 +22,7 @@ from repro.sim.components import SimContext
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
+from tests.phy.rows import link_row
 
 
 @pytest.fixture
@@ -54,12 +55,12 @@ def make_channel(ctx, positions, link_budget, **kw):
 def assert_budgets_identical(dense, sparse):
     assert dense.n_nodes == sparse.n_nodes
     for i in range(dense.n_nodes):
-        assert np.array_equal(dense.reach[i], sparse.reach[i]), i
-        assert np.array_equal(dense._reach_power_arrays[i],
-                              sparse._reach_power_arrays[i]), i
-        assert dense._reach_ids[i] == sparse._reach_ids[i], i
-        assert dense._reach_powers[i] == sparse._reach_powers[i], i
-        assert dense._reach_delays[i] == sparse._reach_delays[i], i
+        d, s = link_row(dense, i), link_row(sparse, i)
+        assert np.array_equal(d.reach, s.reach), i
+        assert np.array_equal(d.power_array, s.power_array), i
+        assert d.ids == s.ids, i
+        assert d.powers == s.powers, i
+        assert d.delays == s.delays, i
 
 
 class TestModeResolution:
@@ -173,14 +174,14 @@ class TestSparseOffsets:
         dense.set_link_offsets(matrix)
         sparse.set_link_offsets({(3, 4): -200.0, (10, 11): -3.5})
         assert_budgets_identical(dense, sparse)
-        assert 4 not in sparse.reach[3]
+        assert 4 not in sparse.neighbors(3)
 
     def test_positive_offset_extends_reach_beyond_grid_radius(self, ctx):
         positions = np.array([[0.0, 0.0], [2000.0, 0.0], [100.0, 0.0]])
         sparse = make_channel(ctx, positions, "sparse")
-        assert 1 not in sparse.reach[0]
+        assert 1 not in sparse.neighbors(0)
         sparse.set_link_offsets({(0, 1): 60.0})
-        assert 1 in sparse.reach[0]
+        assert 1 in sparse.neighbors(0)
         # And the explicit-threshold query sees it too.
         assert 1 in sparse.neighbors(0, THRESHOLD)
 

@@ -64,12 +64,32 @@ class TestUniformGrid:
         _, dsts = grid.candidates(np.array([0]))
         assert 1 in dsts.tolist()
 
-    def test_neighborhood_members_includes_ids_and_neighbors(self):
+    def test_members_near_includes_ids_and_neighbors(self):
         positions = np.array([[0.0, 0.0], [10.0, 0.0], [900.0, 900.0]])
         grid = UniformGrid(positions, 50.0)
-        members = grid.neighborhood_members(np.array([0]))
+        members = grid.members_near(grid.cell_of(positions[[0]]))
         assert 0 in members and 1 in members
         assert 2 not in members
+
+    def test_members_near_uses_absolute_cells_across_frame_shifts(self):
+        positions = np.array([[0.0, 0.0], [60.0, 0.0], [400.0, 400.0]])
+        grid = UniformGrid(positions, 50.0)
+        old = grid.cell_of(positions[[2]])
+        positions[2] = [-300.0, -300.0]  # shifts the normalized frame
+        grid.rebin(positions)
+        assert grid.members_near(old).tolist() == []
+        near = grid.members_near(grid.cell_of(np.array([[-10.0, 0.0]])))
+        assert near.tolist() == [0]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_neighborhood_matches_candidates(self, dim):
+        rng = np.random.default_rng(dim)
+        positions = rng.uniform(0, 700, size=(150, dim))
+        grid = UniformGrid(positions, 120.0)
+        for node in range(150):
+            _, dsts = grid.candidates(np.array([node]))
+            members = grid.neighborhood(node)
+            assert sorted(members.tolist()) == sorted(dsts.tolist() + [node])
 
     def test_empty_grid_and_empty_sources(self):
         grid = UniformGrid(np.empty((0, 2)), 10.0)

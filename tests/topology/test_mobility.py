@@ -5,6 +5,7 @@ import pytest
 
 from repro.topology.mobility import MobilityConfig, RandomWalk, RandomWaypoint
 from tests.conftest import line_positions, make_phy_stack
+from tests.phy.rows import link_row
 
 
 def build(ctx, model_cls, n=10, config=None, frozen=(), width=500.0, height=500.0):
@@ -105,10 +106,10 @@ class TestChannelReconfiguration:
 
     def test_reach_changes_when_node_walks_away(self, ctx):
         channel, radios, _ = make_phy_stack(ctx, line_positions(2, spacing=100.0))
-        assert 1 in channel.reach[0]
+        assert 1 in channel.neighbors(0)
         moved = np.array([[0.0, 0.0], [5000.0, 0.0]])
         channel.set_positions(moved)
-        assert 1 not in channel.reach[0]
+        assert 1 not in channel.neighbors(0)
 
 
 class TestSparseChannelWiring:
@@ -140,8 +141,9 @@ class TestSparseChannelWiring:
         dense, sparse = finals["dense"], finals["sparse"]
         assert np.array_equal(dense.positions, sparse.positions)
         for node in range(12):
-            assert np.array_equal(dense.reach[node], sparse.reach[node])
-            assert dense._reach_powers[node] == sparse._reach_powers[node]
+            d, s = link_row(dense, node), link_row(sparse, node)
+            assert np.array_equal(d.reach, s.reach)
+            assert d.powers == s.powers
 
     def test_tick_only_passes_moved_ids(self):
         ctx, channel = self._drive("sparse")
