@@ -28,6 +28,7 @@ import os
 import platform
 import sys
 import time
+from functools import partial
 from typing import Callable
 
 __all__ = ["main", "collect", "compare", "fingerprint", "load_baseline",
@@ -76,34 +77,68 @@ def _bench_cancellation_storm(n: int = 10_000) -> dict:
     return {"wall_s": wall, "ops": n, "events": sim.events_processed}
 
 
-def _bench_channel_fanout(n_nodes: int = 80, transmits: int = 50) -> dict:
-    """Repeated one-to-many broadcast delivery through the channel."""
+def _small_radio_set(n_nodes: int, extent_m: float):
+    """``n_nodes`` radios uniform in an ``extent_m`` square with a 250 m
+    range (untimed setup shared by the small fan-out benchmarks)."""
     import numpy as np
 
-    from repro.mac.frame import Frame
     from repro.phy.channel import Channel
     from repro.phy.propagation import FreeSpace, range_to_threshold_dbm
     from repro.phy.radio import RadioConfig, Transceiver
     from repro.sim.components import SimContext
 
     ctx = SimContext()
-    rng = np.random.default_rng(0)
-    positions = rng.uniform(0, 300, size=(n_nodes, 2))
+    positions = np.random.default_rng(0).uniform(0, extent_m, size=(n_nodes, 2))
     model = FreeSpace()
     threshold = range_to_threshold_dbm(model, 15.0, 250.0)
     config = RadioConfig(tx_power_dbm=15.0, rx_threshold_dbm=threshold)
     channel = Channel(ctx, positions, model, 15.0, config.cs_threshold_dbm)
-    radios = [Transceiver(ctx, i, channel, config) for i in range(n_nodes)]
-    frame = Frame(src=0, dst=None, seq=0, payload=None, size_bytes=100)
+    return ctx, channel, [Transceiver(ctx, i, channel, config)
+                          for i in range(n_nodes)]
 
+
+def _time_broadcasts(ctx, channel, radio, frames: list) -> dict:
+    """Time ``radio`` broadcasting each frame, draining the simulator after
+    each one."""
     t0 = time.perf_counter()
-    for _ in range(transmits):
-        radios[0].transmit(frame, 0.001)
+    for frame in frames:
+        radio.transmit(frame, 0.001)
         ctx.simulator.run()
     wall = time.perf_counter() - t0
-    assert channel.tx_count == transmits
-    return {"wall_s": wall, "ops": transmits,
+    assert channel.tx_count == len(frames)
+    return {"wall_s": wall, "ops": len(frames),
             "events": ctx.simulator.events_processed}
+
+
+def _bench_channel_fanout(n_nodes: int = 80, transmits: int = 50) -> dict:
+    """Repeated one-to-many broadcast delivery through the channel."""
+    from repro.mac.frame import Frame
+
+    ctx, channel, radios = _small_radio_set(n_nodes, 300.0)
+    frame = Frame(src=0, dst=None, seq=0, payload=None, size_bytes=100)
+    return _time_broadcasts(ctx, channel, radios[0], [frame] * transmits)
+
+
+def _bench_receive_chain(n_nodes: int = 40, transmits: int = 100) -> dict:
+    """Broadcasts received by wired radio → MAC → counter-1 flooding
+    stacks (ops = receptions).  Each packet arrives with its hop budget
+    spent, so receivers walk the whole receive chain but never
+    rebroadcast."""
+    from repro.mac.csma import CsmaMac
+    from repro.mac.frame import Frame
+    from repro.net.flooding import Counter1Flooding
+    from repro.net.packet import Packet, PacketKind
+
+    ctx, channel, radios = _small_radio_set(n_nodes, 150.0)
+    nets = [Counter1Flooding(ctx, i, CsmaMac(ctx, i, radios[i]))
+            for i in range(1, n_nodes)]
+    hops = nets[0].config.max_hops - 1
+    frames = [Frame(0, None, seq, Packet(PacketKind.DATA, 0, seq, size_bytes=100,
+                                         actual_hops=hops), 120)
+              for seq in range(transmits)]
+    result = _time_broadcasts(ctx, channel, radios[0], frames)
+    assert all(len(net.dup_cache) == transmits for net in nets)
+    return {**result, "ops": transmits * (n_nodes - 1)}
 
 
 def _bench_fig1_cell() -> dict:
@@ -163,52 +198,22 @@ def _sparse_channel_2k(link_budget: str = "sparse", n_nodes: int = 2000,
     return ctx, channel, positions, rng
 
 
-def _bench_sparse_fanout(transmits: int = 50) -> dict:
+def _bench_sparse_fanout(transmits: int = 50,
+                         depth_m: float | None = None) -> dict:
     """Broadcast delivery through the sparse 2k-node link budget — the
-    transmit hot path must not care which representation sits underneath."""
+    transmit hot path must not care which representation sits underneath.
+    ``depth_m`` adds an altitude axis: the 27-cell 3-D grid neighborhood
+    vs the 2-D benchmark's 9-cell one."""
     from repro.mac.frame import Frame
     from repro.phy.radio import RadioConfig, Transceiver
 
-    ctx, channel, _positions, _rng = _sparse_channel_2k()
-    config = RadioConfig(tx_power_dbm=15.0,
-                         rx_threshold_dbm=channel.reach_threshold_dbm)
-    radios = [Transceiver(ctx, i, channel, config)
-              for i in range(channel.n_nodes)]
-    assert radios
-    frame = Frame(src=0, dst=None, seq=0, payload=None, size_bytes=100)
-
-    t0 = time.perf_counter()
-    for _ in range(transmits):
-        radios[0].transmit(frame, 0.001)
-        ctx.simulator.run()
-    wall = time.perf_counter() - t0
-    assert channel.tx_count == transmits
-    return {"wall_s": wall, "ops": transmits,
-            "events": ctx.simulator.events_processed}
-
-
-def _bench_sparse_fanout_3d(transmits: int = 50) -> dict:
-    """Broadcast delivery through the sparse link budget at n=2000 with a
-    200 m altitude axis — the 27-cell 3-D grid neighborhood vs the 2-D
-    benchmark's 9-cell one."""
-    from repro.mac.frame import Frame
-    from repro.phy.radio import RadioConfig, Transceiver
-
-    ctx, channel, _positions, _rng = _sparse_channel_2k(depth_m=200.0)
+    ctx, channel, _positions, _rng = _sparse_channel_2k(depth_m=depth_m)
     config = RadioConfig(tx_power_dbm=15.0,
                          rx_threshold_dbm=channel.reach_threshold_dbm)
     radios = [Transceiver(ctx, i, channel, config)
               for i in range(channel.n_nodes)]
     frame = Frame(src=0, dst=None, seq=0, payload=None, size_bytes=100)
-
-    t0 = time.perf_counter()
-    for _ in range(transmits):
-        radios[0].transmit(frame, 0.001)
-        ctx.simulator.run()
-    wall = time.perf_counter() - t0
-    assert channel.tx_count == transmits
-    return {"wall_s": wall, "ops": transmits,
-            "events": ctx.simulator.events_processed}
+    return _time_broadcasts(ctx, channel, radios[0], [frame] * transmits)
 
 
 def _bench_mobility_tick(ticks: int = 5) -> dict:
@@ -251,9 +256,10 @@ BENCHMARKS: dict[str, tuple[Callable[[], dict], int, int]] = {
     "event_loop_throughput": (_bench_event_loop, 7, 3),
     "timer_cancellation_storm": (_bench_cancellation_storm, 7, 3),
     "channel_fanout": (_bench_channel_fanout, 7, 3),
+    "receive_chain": (_bench_receive_chain, 7, 3),
     "fig1_smoke_cell": (_bench_fig1_cell, 3, 2),
     "sparse_fanout_2k": (_bench_sparse_fanout, 5, 2),
-    "sparse_fanout_3d_2k": (_bench_sparse_fanout_3d, 5, 2),
+    "sparse_fanout_3d_2k": (partial(_bench_sparse_fanout, depth_m=200.0), 5, 2),
     "mobility_tick_2k": (_bench_mobility_tick, 5, 2),
     # The dense rebuild allocates ~128 MB of matrices per tick, so its
     # first (cold) repeat can run 30% slow; extra repeats let best-of-k

@@ -432,6 +432,10 @@ class CsmaMac(Component):
                 self._backoff_handle.cancel()
                 self._backoff_handle = None
                 self._waiting_for_idle = True
+        elif self._tx_in_flight and not self.radio.is_on:
+            # Powered off mid-transmission: tx_done will never fire.
+            self._tx_in_flight = self._tx_is_ctrl = self._tx_is_rts = False
+            self._fail_current(silent=True)
         else:
             if (
                 self._current is not None
@@ -452,7 +456,7 @@ class CsmaMac(Component):
     def _on_frame(self, frame: Frame, info: "RxInfo") -> None:
         # Third-party RTS/CTS reservations charge our NAV.
         if frame.nav_s > 0.0 and frame.dst != self.node_id:
-            self._set_nav(self.now + frame.nav_s)
+            self._set_nav(self.sim.now + frame.nav_s)
 
         if frame.subtype == "ack":
             if frame.dst == self.node_id and self._ack_handle is not None \
@@ -477,20 +481,20 @@ class CsmaMac(Component):
         rx = MacRxInfo(
             src=frame.src,
             power_dbm=info.power_dbm,
-            time=self.now,
+            time=self.sim.now,
             overheard=(frame.dst is not None and frame.dst != self.node_id),
         )
-        if frame.is_broadcast:
+        if frame.dst is None:
             self.delivered_up += 1
             if self.to_net.connected:
-                self.to_net(frame.payload, rx)
+                self.to_net.dispatch(frame.payload, rx)
         elif frame.dst == self.node_id:
             self.schedule(self.config.sifs_s, self._send_ack, frame.src, frame.seq)
             self.delivered_up += 1
             if self.to_net.connected:
-                self.to_net(frame.payload, rx)
+                self.to_net.dispatch(frame.payload, rx)
         elif self.config.promiscuous and self.to_net.connected:
-            self.to_net(frame.payload, rx)
+            self.to_net.dispatch(frame.payload, rx)
 
     def _send_reserved_data(self) -> None:
         job = self._current

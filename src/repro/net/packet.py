@@ -48,6 +48,9 @@ class PacketKind(enum.Enum):
     ANNOUNCE = "announce"
     SYNC = "sync"
 
+    # Members are singletons: C-level identity hash, consistent with ``==``.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -75,12 +78,11 @@ class Packet:
         """The copy a relay node puts back on the air: one more actual hop,
         the relay appended to the path, and (for election-routed packets) a
         fresh expected-hop field."""
-        return replace(
-            self,
-            actual_hops=self.actual_hops + 1,
-            path=self.path + (relay,),
-            expected_hops=self.expected_hops if expected_hops is None else expected_hops,
-        )
+        return self.__class__(
+            self.kind, self.origin, self.seq, self.target, self.size_bytes,
+            self.created_at, self.actual_hops + 1,
+            self.expected_hops if expected_hops is None else expected_hops,
+            self.ref_seq, self.payload, self.path + (relay,))
 
     def with_fields(self, **changes: Any) -> "Packet":
         return replace(self, **changes)

@@ -110,6 +110,10 @@ class Transceiver(Component):
         self.energy = energy
 
         self.state = RadioState.IDLE
+        self.is_on = True  # False in SLEEP/OFF; kept by _set_state
+        # Per-reception thresholds, read once from the frozen config.
+        self.rx_threshold_dbm = config.rx_threshold_dbm
+        self.cs_threshold_dbm = config.cs_threshold_dbm
         self._locked: int | None = None  # token of the frame being decoded
         self._receptions: dict[int, _Reception] = {}
         self._sensed = 0  # number of ongoing above-CS-threshold receptions
@@ -133,18 +137,15 @@ class Transceiver(Component):
 
     # ----------------------------------------------------------------- state
 
-    @property
-    def is_on(self) -> bool:
-        return self.state not in (RadioState.SLEEP, RadioState.OFF)
-
     def carrier_busy(self) -> bool:
         """True when the MAC should defer (energy sensed or transmitting)."""
-        return self.state == RadioState.TX or self._sensed > 0
+        return self.state is RadioState.TX or self._sensed > 0
 
     def _set_state(self, state: RadioState) -> None:
         if self.energy is not None:
-            self.energy.on_state_change(self.now, self.state, state)
+            self.energy.on_state_change(self.sim.now, self.state, state)
         self.state = state
+        self.is_on = state is not RadioState.SLEEP and state is not RadioState.OFF
 
     def set_power(self, on: bool, sleep: bool = False) -> None:
         """Turn the transceiver on or off (Figure 4's failure model).
@@ -154,7 +155,7 @@ class Transceiver(Component):
         routes and that Routeless Routing shrugs off.
         """
         if on:
-            if self.state in (RadioState.SLEEP, RadioState.OFF):
+            if not self.is_on:
                 self._set_state(RadioState.IDLE)
                 self.trace("radio.on")
         else:
@@ -174,7 +175,7 @@ class Transceiver(Component):
 
     def transmit(self, frame: "Frame", duration: float) -> bool:
         """Start transmitting.  Returns False if the radio cannot send now."""
-        if not self.is_on or self.state == RadioState.TX:
+        if not self.is_on or self.state is RadioState.TX:
             return False
         # Half-duplex: starting a transmission destroys any reception that
         # was being decoded.
@@ -196,10 +197,10 @@ class Transceiver(Component):
         # A reception that began mid-transmission was corrupted at
         # begin_receive time; nothing to resume here.
         if self.tx_done.connected:
-            self.tx_done()
+            self.tx_done.dispatch()
         if not self.carrier_busy() and self.carrier.connected:
             # Leaving TX may have freed the medium from the MAC's viewpoint.
-            self.carrier(False)
+            self.carrier.dispatch(False)
 
     # --------------------------------------------------------------- receive
 
@@ -207,20 +208,20 @@ class Transceiver(Component):
         """Channel callback: a frame's leading edge reached this node."""
         if not self.is_on:
             return
-        decodable = power_dbm >= self.config.rx_threshold_dbm
-        reception = _Reception(frame, power_dbm, self.now, decodable)
+        decodable = power_dbm >= self.rx_threshold_dbm
+        reception = _Reception(frame, power_dbm, self.sim.now, decodable)
         self._receptions[token] = reception
 
-        if power_dbm >= self.config.cs_threshold_dbm:
+        if power_dbm >= self.cs_threshold_dbm:
             self._sensed += 1
-            if self._sensed == 1 and self.state != RadioState.TX and self.carrier.connected:
-                self.carrier(True)
+            if self._sensed == 1 and self.state is not RadioState.TX and self.carrier.connected:
+                self.carrier.dispatch(True)
 
         if not decodable:
             if self.config.sinr_model:
                 self._check_locked_sinr()
             return
-        if self.state == RadioState.TX:
+        if self.state is RadioState.TX:
             reception.corrupted = True
             return
         if self.config.sinr_model:
@@ -297,14 +298,14 @@ class Transceiver(Component):
         if reception is None:
             return  # radio was off when the frame arrived (or cycled off/on)
 
-        if reception.power_dbm >= self.config.cs_threshold_dbm:
+        if reception.power_dbm >= self.cs_threshold_dbm:
             self._sensed = max(0, self._sensed - 1)
-            if self._sensed == 0 and self.state != RadioState.TX and self.carrier.connected:
-                self.carrier(False)
+            if self._sensed == 0 and self.state is not RadioState.TX and self.carrier.connected:
+                self.carrier.dispatch(False)
 
         if self._locked == token:
             self._locked = None
-            if self.state == RadioState.RX:
+            if self.state is RadioState.RX:
                 self._set_state(RadioState.IDLE)
             if (not reception.corrupted and self.fault_corrupt_prob > 0.0
                     and float(self._fault_rng.random()) < self.fault_corrupt_prob):
@@ -321,7 +322,7 @@ class Transceiver(Component):
                         payload.uid if payload is not None else None)
                 return
             if not reception.corrupted:
-                info = RxInfo(reception.power_dbm, reception.begin_time, self.now)
+                info = RxInfo(reception.power_dbm, reception.begin_time, self.sim.now)
                 if self.ctx.tracing:
                     self.trace("radio.rx", frame=str(reception.frame), power=reception.power_dbm)
                 if self.ctx.observing:
@@ -331,7 +332,7 @@ class Transceiver(Component):
                         payload.uid if payload is not None else None,
                         reception.power_dbm)
                 if self.to_mac.connected:
-                    self.to_mac(reception.frame, info)
+                    self.to_mac.dispatch(reception.frame, info)
             else:
                 if self.ctx.tracing:
                     self.trace("radio.rx_corrupt", frame=str(reception.frame))

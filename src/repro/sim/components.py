@@ -32,26 +32,33 @@ class Outport:
     """A one-to-many output connector.
 
     Calling the port invokes every connected handler, in connection order.
+    :meth:`connect` resolves :attr:`dispatch` — the lone handler itself, a
+    fan-out, or a :class:`PortNotConnected` raiser — so hot paths call it
+    directly.
     """
 
-    __slots__ = ("name", "_handlers")
+    __slots__ = ("name", "_handlers", "connected", "dispatch")
 
     def __init__(self, name: str):
         self.name = name
         self._handlers: list[Callable[..., None]] = []
+        self.connected = False
+        self.dispatch: Callable[..., None] = self._not_connected
 
     def connect(self, handler: Callable[..., None]) -> None:
         self._handlers.append(handler)
-
-    @property
-    def connected(self) -> bool:
-        return bool(self._handlers)
+        self.connected = True
+        self.dispatch = handler if len(self._handlers) == 1 else self._fan_out
 
     def __call__(self, *args: Any, **kwargs: Any) -> None:
-        if not self._handlers:
-            raise PortNotConnected(f"outport {self.name!r} is not connected")
+        self.dispatch(*args, **kwargs)
+
+    def _fan_out(self, *args: Any, **kwargs: Any) -> None:
         for handler in self._handlers:
             handler(*args, **kwargs)
+
+    def _not_connected(self, *args: Any, **kwargs: Any) -> None:
+        raise PortNotConnected(f"outport {self.name!r} is not connected")
 
 
 class SimContext:
@@ -113,6 +120,8 @@ class Component:
     def __init__(self, ctx: SimContext, name: str):
         self.ctx = ctx
         self.name = name
+        #: The simulator, cached so reading the clock is one attribute hop.
+        self.sim = ctx.simulator
 
     # ------------------------------------------------------------- utilities
 
@@ -121,10 +130,10 @@ class Component:
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any,
                  priority: int = 0) -> EventHandle:
-        return self.ctx.simulator.schedule(delay, callback, *args, priority=priority)
+        return self.sim.schedule(delay, callback, *args, priority=priority)
 
     def trace(self, kind: str, **detail: Any) -> None:
-        self.ctx.tracer.emit(self.ctx.now, self.name, kind, **detail)
+        self.ctx.tracer.emit(self.sim.now, self.name, kind, **detail)
 
     def rng(self, stream_suffix: str = "") -> Any:
         """The component's own RNG stream (optionally sub-named)."""
@@ -133,7 +142,7 @@ class Component:
 
     @property
     def now(self) -> float:
-        return self.ctx.now
+        return self.sim.now
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name}>"

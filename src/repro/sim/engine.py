@@ -78,7 +78,8 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        #: Current simulated time in seconds (read-only by convention).
+        self.now = float(start_time)
         self._heap: list[tuple[float, int, int, Callable[..., None], tuple, Event]] = []
         self._seq = 0
         self._running = False
@@ -86,11 +87,6 @@ class Simulator:
         self._cancelled = 0  # cancelled entries believed to still be heaped
 
     # ------------------------------------------------------------------ clock
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -119,7 +115,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        time = self._now + delay
+        time = self.now + delay
         if time.__class__ is not float:  # e.g. a numpy scalar delay
             time = float(time)
         seq = self._seq
@@ -143,9 +139,9 @@ class Simulator:
         priority: int = EVENT_PRIORITY_DEFAULT,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}, clock already at {self._now!r}"
+                f"cannot schedule at {time!r}, clock already at {self.now!r}"
             )
         time = float(time)
         seq = self._seq
@@ -170,7 +166,7 @@ class Simulator:
         series of :meth:`schedule` calls.
         """
         heap = self._heap
-        now = self._now
+        now = self.now
         seq = self._seq
         live = _UNCANCELLABLE
         for delay, callback, args in items:
@@ -207,7 +203,7 @@ class Simulator:
                 if self._cancelled:
                     self._cancelled -= 1
                 continue
-            self._now = entry[0]
+            self.now = entry[0]
             self._processed += 1
             entry[3](*entry[4])
             return True
@@ -234,7 +230,7 @@ class Simulator:
                         if self._cancelled:
                             self._cancelled -= 1
                         continue
-                    self._now = entry[0]
+                    self.now = entry[0]
                     self._processed += 1
                     entry[3](*entry[4])
                 return
@@ -252,12 +248,12 @@ class Simulator:
                 if until is not None and time > until:
                     break
                 pop(heap)
-                self._now = time
+                self.now = time
                 self._processed += 1
                 fired += 1
                 entry[3](*entry[4])
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
 

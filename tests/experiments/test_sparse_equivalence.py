@@ -21,6 +21,7 @@ from repro.experiments.common import (
 from repro.experiments.fig1_ssaf import Fig1Config
 from repro.faults import FaultPlan, LinkDegradation, Partition, install_plan
 from repro.sim.rng import RandomStreams
+from repro.topology.arena import Arena
 from repro.topology.mobility import MobilityConfig, RandomWaypoint
 
 from tests.experiments.test_golden_equivalence import EXACT, GOLDEN, INTERVAL_S
@@ -95,8 +96,8 @@ def _mobility_net(link_budget: str):
     flows = pick_flows(60, 4, RandomStreams(3 + 4242).stream("mob.flows"),
                        bidirectional=True)
     endpoints = {node for flow in flows for node in flow}
-    RandomWaypoint(net.ctx, net.channel, 700.0, 700.0,
-                   MobilityConfig(min_speed_mps=2.0, max_speed_mps=10.0),
+    RandomWaypoint(net.ctx, net.channel, arena=Arena(700.0, 700.0),
+                   config=MobilityConfig(min_speed_mps=2.0, max_speed_mps=10.0),
                    frozen=endpoints)
     attach_cbr(net, flows, interval_s=1.0, stop_s=8.0)
     net.run(until=10.0)

@@ -5,7 +5,10 @@ import pytest
 
 from repro.mac.csma import MacConfig
 from repro.net.packet import Packet, PacketKind
-from tests.conftest import line_positions, make_mac_stack
+from repro.obs import Observability
+from repro.obs.ledger import DropReason
+from repro.phy.radio import RadioState
+from tests.conftest import line_network, line_positions, make_mac_stack
 
 
 def data(origin=0, seq=0, target=None, size=100):
@@ -229,3 +232,29 @@ class TestDeadRadio:
         macs[0].send(data(seq=1))
         ctx.simulator.run()
         assert [p.seq for p, _ in got] == [1]
+
+    def test_power_off_mid_transmission_does_not_stall_the_mac(self):
+        """Powering off cancels the radio's end-of-transmission event, so
+        ``tx_done`` never fires: the MAC must drop the in-flight job itself
+        instead of waiting for it forever."""
+        obs = Observability()
+        net = line_network("counter1", n=3, obs=obs)
+        sim, radio, mac = net.simulator, net.radios[0], net.macs[0]
+        lost = data(seq=0, target=1)
+        mac.send(lost)
+        while radio.state is not RadioState.TX:
+            assert sim.step()
+        radio.set_power(False)
+        sim.schedule(0.01, radio.set_power, True)
+        sim.run(until=sim.now + 0.02)
+        assert not mac.busy
+        assert [(e.layer, e.reason) for e in obs.ledger.chain(lost.uid)
+                if e.reason is not None] == [("mac", DropReason.RADIO_OFF)]
+
+        resent = data(seq=1, target=1)
+        mac.send(resent)
+        sim.run(until=sim.now + 0.1)
+        assert mac.tx_attempts == 2
+        assert not mac.busy
+        assert net.protocols[1].dup_cache.seen(resent)
+

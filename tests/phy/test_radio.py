@@ -201,3 +201,45 @@ class TestPowerStates:
         ctx.simulator.schedule(0.004, rx.set_power, True)
         ctx.simulator.run()
         assert got == []
+
+
+class TestCachedState:
+    """``is_on`` and the thresholds are plain attributes set once or by
+    ``_set_state``; they must never drift from the state and config."""
+
+    def test_thresholds_equal_the_config(self, pair):
+        _ctx, _channel, radios = pair
+        for radio in radios:
+            assert radio.rx_threshold_dbm == radio.config.rx_threshold_dbm
+            assert radio.cs_threshold_dbm == radio.config.cs_threshold_dbm
+
+    def test_is_on_tracks_every_transition(self, pair):
+        ctx, channel, (tx, rx) = pair
+        seen = []
+
+        def check(radio, expected_state):
+            assert radio.state is expected_state
+            assert radio.is_on is (expected_state not in
+                                   (RadioState.SLEEP, RadioState.OFF))
+            seen.append(expected_state)
+
+        check(tx, RadioState.IDLE)
+        tx.transmit(frame(), duration=0.01)
+        check(tx, RadioState.TX)
+        ctx.simulator.schedule(0.005, check, rx, RadioState.RX)
+        ctx.simulator.run()
+        check(tx, RadioState.IDLE)
+        check(rx, RadioState.IDLE)
+        tx.set_power(False)
+        check(tx, RadioState.OFF)
+        tx.set_power(True)
+        check(tx, RadioState.IDLE)
+        tx.set_power(False, sleep=True)
+        check(tx, RadioState.SLEEP)
+        tx.set_power(True)
+        check(tx, RadioState.IDLE)
+        tx.transmit(frame(seq=1), duration=0.01)
+        tx.set_power(False)  # mid-transmission
+        check(tx, RadioState.OFF)
+        assert set(seen) == set(RadioState)
+

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.topology.arena import Arena
 from repro.topology.mobility import MobilityConfig, RandomWalk, RandomWaypoint
 from tests.conftest import line_positions, make_phy_stack
 from tests.phy.rows import link_row
@@ -12,7 +13,7 @@ def build(ctx, model_cls, n=10, config=None, frozen=(), width=500.0, height=500.
     rng = np.random.default_rng(3)
     positions = rng.uniform(0, 500, size=(n, 2))
     channel, radios, _ = make_phy_stack(ctx, positions)
-    model = model_cls(ctx, channel, width, height,
+    model = model_cls(ctx, channel, arena=Arena(width, height),
                       config=config if config is not None else MobilityConfig(),
                       frozen=frozen)
     return channel, model
@@ -128,7 +129,8 @@ class TestSparseChannelWiring:
         threshold = range_to_threshold_dbm(model, 15.0, 250.0)
         channel = Channel(ctx, positions, model, 15.0, threshold,
                           link_budget=link_budget)
-        RandomWaypoint(ctx, channel, 500.0, 500.0, config=MobilityConfig(),
+        RandomWaypoint(ctx, channel, arena=Arena(500.0, 500.0),
+                       config=MobilityConfig(),
                        frozen={0, 3})
         return ctx, channel
 
