@@ -28,12 +28,12 @@ def main() -> None:
     print(sub)
     print("-" * len(sub))
     for protocol in PROTOCOLS:
-        static = run_one(protocol, 0.0, seed=1, config=config)
-        mobile = run_one(protocol, max_speed, seed=1, config=config)
-        print(f"{protocol:>10} | {static.delivery_ratio:>6.3f} "
-              f"{static.avg_delay_s:>8.4f} {static.mac_packets:>9} | "
-              f"{mobile.delivery_ratio:>6.3f} {mobile.avg_delay_s:>8.4f} "
-              f"{mobile.mac_packets:>9}")
+        static = run_one(protocol, 0.0, seed=1, config=config).metrics
+        mobile = run_one(protocol, max_speed, seed=1, config=config).metrics
+        print(f"{protocol:>10} | {static['delivery_ratio']:>6.3f} "
+              f"{static['avg_delay_s']:>8.4f} {static['mac_packets']:>9} | "
+              f"{mobile['delivery_ratio']:>6.3f} {mobile['avg_delay_s']:>8.4f} "
+              f"{mobile['mac_packets']:>9}")
     print()
     print("Watch the mac_pkts columns: explicit-route protocols buy mobility")
     print("tolerance with control traffic; Routeless Routing's bill is flat.")

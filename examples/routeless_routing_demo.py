@@ -2,7 +2,7 @@
 """Routeless Routing, step by step — including a live node failure.
 
 Walks a packet flow through the protocol's life cycle on a small network,
-with the tracer on so every protocol action is visible:
+with the packet ledger on so every protocol action is visible:
 
 1. path discovery (counter-1 flooding populates active node tables);
 2. the path reply electing its way back hop by hop, acked per hop;
@@ -16,8 +16,9 @@ Run:  python examples/routeless_routing_demo.py
 
 import numpy as np
 
+from repro.analysis.lifecycle import reconstruct_journeys
 from repro.experiments.common import ScenarioConfig, build_protocol_network
-from repro.sim.trace import Tracer
+from repro.obs.observe import Observability
 
 #       1 ─── 3
 #      /  \ /  \
@@ -34,26 +35,29 @@ POSITIONS = np.array([
 ])
 
 
-def print_events(tracer: Tracer, since: float) -> None:
-    interesting = ("rr.discovery", "rr.discovery_reached", "rr.reply",
-                   "rr.reply_received", "rr.candidate", "rr.relay", "rr.ack",
-                   "rr.retransmit", "net.deliver")
-    for record in tracer.records:
-        if record.time >= since and record.kind in interesting:
-            print(f"   {record}")
+def print_events(obs: Observability, since: float) -> None:
+    """Each packet's protocol actions (originate, candidate, relay,
+    suppressed, retransmit, deliver) from ``since`` on."""
+    for (kind, origin, seq), journey in reconstruct_journeys(obs).items():
+        events = [e for e in journey.events if e.time >= since]
+        if not events:
+            continue
+        print(f"   {kind.value}(o={origin} s={seq})")
+        for event in events:
+            print(f"     [{event.time:10.6f}] node {event.node:<2} {event.action}")
 
 
 def main() -> None:
-    tracer = Tracer()
+    obs = Observability()
     scenario = ScenarioConfig(n_nodes=6, positions=POSITIONS, range_m=250.0,
                               seed=4)
-    net = build_protocol_network("routeless", scenario, tracer=tracer)
+    net = build_protocol_network("routeless", scenario, obs=obs)
     rr = net.protocols
 
     print("== 1+2. Path discovery and reply (0 → 5) ==")
     rr[0].send_data(5)
     net.run(until=2.0)
-    print_events(tracer, 0.0)
+    print_events(obs, 0.0)
     print("\nActive node tables after discovery (hops to node 0 / node 5):")
     for i in range(6):
         print(f"   node {i}: to 0 = {rr[i].table.hops_to(0)}, "
@@ -63,7 +67,7 @@ def main() -> None:
     mark = net.simulator.now
     rr[0].send_data(5)
     net.run(until=mark + 2.0)
-    print_events(tracer, mark)
+    print_events(obs, mark)
     used = net.metrics.deliveries[-1].path
     print(f"\n   delivered via relays {used}")
 
@@ -73,13 +77,14 @@ def main() -> None:
     mark = net.simulator.now
     rr[0].send_data(5)
     net.run(until=mark + 3.0)
-    print_events(tracer, mark)
+    print_events(obs, mark)
     final = net.metrics.deliveries[-1].path
     print(f"\n   delivered via relays {final} — no route repair, no RERR, "
           f"no rediscovery")
     print(f"   discovery floods in the whole run: "
           f"{net.channel.tx_count_by_kind['path_discovery']} transmissions "
-          f"(all from step 1)")
+          f"(all from step 1); per-hop acknowledgements: "
+          f"{net.channel.tx_count_by_kind['net_ack']}")
     print(f"\nSummary: {net.summary()}")
 
 

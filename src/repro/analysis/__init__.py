@@ -1,4 +1,5 @@
-"""Analytical models and trace analysis: theory-vs-simulation validation."""
+"""Analytical models (theory-vs-simulation validation) and packet journeys
+read from the packet ledger."""
 
 from repro.analysis.lifecycle import JourneyEvent, PacketJourney, reconstruct_journeys
 from repro.analysis.theory import (

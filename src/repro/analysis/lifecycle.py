@@ -1,27 +1,27 @@
-"""Packet lifecycle reconstruction from traces.
+"""Packet journeys read from the packet ledger.
 
-Given a :class:`~repro.sim.trace.Tracer` from a Routeless Routing run, these
-helpers reassemble what happened to each packet — candidacies, relays,
-retransmissions, acknowledgements, delivery — as a structured journey.  Used
-by the demo examples and by tests that assert on protocol *behaviour* where
-end metrics would under-constrain it; also the fastest way to answer "what
-happened to packet X?" when debugging a scenario.
+Given the :class:`~repro.obs.ledger.PacketLedger` of an observed run, these
+helpers reassemble what happened to each packet — candidacies,
+suppressions, relays, retransmissions, delivery, drops — as a structured
+journey, keyed by the packet's typed uid.  Used by the demo examples and by
+tests that assert on protocol *behaviour* where end metrics would
+under-constrain it; also the fastest way to answer "what happened to packet
+X?" when debugging a scenario.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.sim.trace import TraceRecord, Tracer
+from repro.obs.ledger import PacketStage
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.packet import PacketKind
+    from repro.obs.ledger import LedgerEntry, PacketLedger
+    from repro.obs.observe import Observability
 
 __all__ = ["JourneyEvent", "PacketJourney", "reconstruct_journeys"]
-
-_PACKET_RE = re.compile(r"(\w+)\(o=(\d+) s=(\d+)")
-#: uid-tuple form used by arbiter traces: ``(<PacketKind.DATA: 'data'>, 0, 1)``
-_UID_RE = re.compile(r"PacketKind\.\w+: '(\w+)'>, (\d+), (\d+)")
-_NODE_RE = re.compile(r"\[(\d+)\]")
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,14 @@ class JourneyEvent:
     """One protocol action observed for a packet: when, where, what."""
     time: float
     node: int
-    action: str          # candidate / relay / retransmit / ack / deliver / ...
+    action: str          # candidate / relay / retransmit / deliver / ...
     detail: dict = field(compare=False, default_factory=dict)
 
 
 @dataclass
 class PacketJourney:
     """Everything that happened to one packet, in time order."""
-    kind: str
+    kind: "PacketKind"
     origin: int
     seq: int
     events: list[JourneyEvent] = field(default_factory=list)
@@ -69,59 +69,46 @@ class PacketJourney:
         return "\n".join(lines)
 
 
-_ACTION_BY_KIND = {
-    "rr.candidate": "candidate",
-    "rr.relay": "relay",
-    "rr.retransmit": "retransmit",
-    "rr.ack": "ack",
-    "rr.gave_up": "gave_up",
-    "rr.discovery": "originate",
-    "rr.reply": "originate",
-    "rr.discovery_reached": "reach_target",
-    "rr.reply_received": "deliver",
-    "net.deliver": "deliver",
-    "flood.first_copy": "candidate",
-    "flood.suppressed": "suppressed",
+#: Journey action of each protocol-level ledger stage.  PHY/MAC stages
+#: (enqueue, contend, tx, rx) and fault entries are not journey events.
+_ACTION_BY_STAGE = {
+    PacketStage.ORIGINATE: "originate",
+    PacketStage.CONTROL_ORIGINATE: "originate",
+    PacketStage.CANDIDATE: "candidate",
+    PacketStage.SUPPRESS: "suppressed",
+    PacketStage.FORWARD: "relay",
+    PacketStage.RETRANSMIT: "retransmit",
+    PacketStage.DELIVER: "deliver",
+    PacketStage.CONTROL_ARRIVE: "deliver",
+    PacketStage.DROP: "drop",
 }
 
 
-def _packet_key(record: TraceRecord) -> Optional[tuple[str, int, int]]:
-    for value in record.detail.values():
-        text = str(value)
-        match = _PACKET_RE.search(text) or _UID_RE.search(text)
-        if match:
-            return match.group(1).lower(), int(match.group(2)), int(match.group(3))
-    return None
+def reconstruct_journeys(
+    source: "Observability | PacketLedger | Iterable[LedgerEntry]",
+) -> dict[tuple, PacketJourney]:
+    """Group ledger entries into per-packet journeys, time-ordered.
 
-
-def _node_of(record: TraceRecord) -> Optional[int]:
-    match = _NODE_RE.search(record.source)
-    return int(match.group(1)) if match else None
-
-
-def reconstruct_journeys(tracer: Tracer | Iterable[TraceRecord]
-                         ) -> dict[tuple[str, int, int], PacketJourney]:
-    """Group trace records into per-packet journeys, time-ordered.
-
-    Keys are ``(kind, origin, seq)`` mirroring packet uids (with the kind as
-    its string value).
+    Keys are the packets' typed uids, ``(PacketKind, origin, seq)``.  A drop
+    event carries its :class:`~repro.obs.ledger.DropReason` as
+    ``detail["reason"]``.
     """
-    records = tracer.records if isinstance(tracer, Tracer) else list(tracer)
-    journeys: dict[tuple[str, int, int], PacketJourney] = {}
-    for record in records:
-        action = _ACTION_BY_KIND.get(record.kind)
-        if action is None:
+    ledger = getattr(source, "ledger", source)
+    entries = getattr(ledger, "entries", ledger)
+    journeys: dict[tuple, PacketJourney] = {}
+    for entry in entries:
+        action = _ACTION_BY_STAGE.get(entry.stage)
+        if action is None or entry.uid is None:
             continue
-        key = _packet_key(record)
-        node = _node_of(record)
-        if key is None or node is None:
-            continue
-        journey = journeys.get(key)
+        journey = journeys.get(entry.uid)
         if journey is None:
-            journey = PacketJourney(kind=key[0], origin=key[1], seq=key[2])
-            journeys[key] = journey
-        journey.events.append(JourneyEvent(record.time, node, action,
-                                           dict(record.detail)))
+            journey = PacketJourney(*entry.uid)
+            journeys[entry.uid] = journey
+        detail = dict(entry.detail or {})
+        if entry.reason is not None:
+            detail["reason"] = entry.reason
+        journey.events.append(JourneyEvent(entry.time, entry.node, action,
+                                           detail))
     for journey in journeys.values():
         journey.events.sort(key=lambda e: e.time)
     return journeys

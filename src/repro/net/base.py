@@ -101,8 +101,6 @@ class NetworkProtocol(Component):
         """Hand a packet that reached its target to the application."""
         if self.metrics is not None:
             self.metrics.on_delivered(packet, self.now, self.node_id)
-        if self.ctx.tracing:
-            self.trace("net.deliver", packet=str(packet))
         if self.ctx.observing:
             self.ctx.obs.on_deliver(self.now, self.node_id, packet.uid,
                                     self.now - packet.created_at,
@@ -122,3 +120,6 @@ class NetworkProtocol(Component):
 
     def obs_forward(self, packet: Packet, **detail) -> None:
         self.ctx.obs.on_forward(self.now, self.node_id, packet.uid, **detail)
+
+    def obs_candidate(self, packet: Packet, **detail) -> None:
+        self.ctx.obs.on_candidate(self.now, self.node_id, packet.uid, **detail)

@@ -6,7 +6,8 @@ next hop simply *loses an election* — so validating them needs per-packet
 causality, not endpoint ratios.  The ledger records one
 :class:`LedgerEntry` per lifecycle event:
 
-    originate → enqueue → contend → tx → rx → suppress/forward → deliver/drop
+    originate → enqueue → contend → tx → rx → candidate → suppress/forward
+    → (retransmit) → deliver/drop
 
 keyed by the packet's network-wide uid, with every drop carrying a typed
 :class:`DropReason`.  ``bare dropped += 1`` counters across the stack now
@@ -72,6 +73,10 @@ class PacketStage(enum.Enum):
     DELIVER = "deliver"       # net: packet reached its destination
     DROP = "drop"             # any layer: a copy died (reason attached)
     FAULT = "fault"           # fault injector: a fault fired/cleared at a node
+    CANDIDATE = "candidate"   # net: election timer armed (node competes to relay)
+    RETRANSMIT = "retransmit" # net: arbiter re-sent a copy nobody relayed
+    CONTROL_ORIGINATE = "control_originate"  # net: routing control packet sent
+    CONTROL_ARRIVE = "control_arrive"        # net: control packet reached target
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -14,8 +14,8 @@ cheap ``SimContext.observing`` flag at the call site::
         self.ctx.obs.on_drop(self.now, self.node_id, "mac",
                              DropReason.QUEUE_OVERFLOW, uid)
 
-so a run without observability pays one attribute read per site — the same
-zero-cost discipline as :attr:`SimContext.tracing`.
+so a run without observability pays one attribute read per site.
+``observing`` is a plain attribute fixed when the context is built.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class Observability:
                  ledger: PacketLedger | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.ledger = ledger if ledger is not None else PacketLedger()
-        #: Read through ``SimContext.observing``; flip to pause collection.
+        #: Copied into ``SimContext.observing`` when a context is built; set
+        #: it False before building the network to disable collection.
         self.enabled = True
         #: kind -> node ids it has touched (backs the fault_nodes gauge).
         self._fault_touched: dict[str, set[int]] = {}
@@ -138,6 +139,27 @@ class Observability:
     def on_forward(self, time: float, node: int, uid: tuple,
                    **detail: Any) -> None:
         self._event(time, node, "net", PacketStage.FORWARD, uid, **detail)
+
+    def on_candidate(self, time: float, node: int, uid: tuple,
+                     **detail: Any) -> None:
+        """``node`` armed an election timer to relay ``uid``."""
+        self._event(time, node, "net", PacketStage.CANDIDATE, uid, **detail)
+
+    def on_retransmit(self, time: float, node: int, uid: tuple,
+                      **detail: Any) -> None:
+        """An arbiter heard no relay of ``uid`` and sent its copy again."""
+        self._event(time, node, "net", PacketStage.RETRANSMIT, uid, **detail)
+
+    def on_control_originate(self, time: float, node: int, uid: tuple) -> None:
+        """A routing control packet (path discovery, path reply) was sent.
+        Kept apart from :meth:`on_originate`, whose stage counts data
+        packets for the conservation invariants."""
+        self._event(time, node, "net", PacketStage.CONTROL_ORIGINATE, uid)
+
+    def on_control_arrive(self, time: float, node: int, uid: tuple) -> None:
+        """A routing control packet reached its target; unlike
+        :meth:`on_deliver` it feeds no delay or hop histogram."""
+        self._event(time, node, "net", PacketStage.CONTROL_ARRIVE, uid)
 
     def on_deliver(self, time: float, node: int, uid: tuple, delay_s: float,
                    hops: int) -> None:

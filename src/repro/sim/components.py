@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.sim.engine import Simulator
 from repro.sim.events import EventHandle
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observe import Observability
@@ -65,49 +64,30 @@ class SimContext:
     """Everything a component needs from its environment.
 
     Bundles the simulator clock/scheduler, the named RNG streams and the
-    tracer, so component constructors take a single ``ctx`` argument.
+    observability bundle, so component constructors take a single ``ctx``
+    argument.
     """
 
     def __init__(
         self,
         simulator: Simulator | None = None,
         streams: RandomStreams | None = None,
-        tracer: Tracer | None = None,
         obs: "Observability | None" = None,
     ):
         self.simulator = simulator if simulator is not None else Simulator()
         self.streams = streams if streams is not None else RandomStreams(0)
-        self.tracer = tracer if tracer is not None else NullTracer()
         #: Observability bundle (metrics registry + packet ledger); ``None``
-        #: means no collection — see :attr:`observing`.
+        #: means no collection.
         self.obs = obs
+        #: True when ``obs`` is collecting, fixed at construction.  Hot-path
+        #: code checks this plain attribute before building any ledger or
+        #: metric argument, so a run without observability pays one
+        #: attribute read per instrumented site.
+        self.observing = obs is not None and obs.enabled
 
     @property
     def now(self) -> float:
         return self.simulator.now
-
-    @property
-    def tracing(self) -> bool:
-        """True when trace records are being collected.
-
-        Hot-path code checks this *before* building trace arguments
-        (``str(frame)``, kwargs dicts), making disabled tracing free.
-        Reads through to :attr:`Tracer.enabled` so runtime toggles are
-        honoured.
-        """
-        return self.tracer.enabled
-
-    @property
-    def observing(self) -> bool:
-        """True when the observability subsystem is collecting.
-
-        The same zero-cost discipline as :attr:`tracing`: hot-path code
-        checks this before building ledger/metric arguments, so a run
-        without an :class:`~repro.obs.observe.Observability` attached pays
-        one attribute read per instrumented site.
-        """
-        obs = self.obs
-        return obs is not None and obs.enabled
 
 
 class Component:
@@ -131,9 +111,6 @@ class Component:
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any,
                  priority: int = 0) -> EventHandle:
         return self.sim.schedule(delay, callback, *args, priority=priority)
-
-    def trace(self, kind: str, **detail: Any) -> None:
-        self.ctx.tracer.emit(self.sim.now, self.name, kind, **detail)
 
     def rng(self, stream_suffix: str = "") -> Any:
         """The component's own RNG stream (optionally sub-named)."""

@@ -6,6 +6,7 @@ import pytest
 
 import repro.experiments.cli as cli
 from repro.campaign import CampaignSpec
+from repro.experiments import registry
 from tests.campaign import fakes
 from tests.campaign.fakes import FakeConfig
 
@@ -21,7 +22,8 @@ def fake_spec(monkeypatch):
                         protocols=("counter1", "ssaf"), xs=(1.0, 2.0),
                         seeds=(1,), config=FakeConfig())
     monkeypatch.setattr(cli, "_campaign_spec",
-                        lambda name: spec if name in cli.EXPERIMENTS else None)
+                        lambda name: (spec if name in registry.campaign_capable()
+                                      else None))
     return spec
 
 

@@ -7,13 +7,13 @@ import pytest
 
 from repro.experiments.common import ScenarioConfig, build_network, build_protocol_network
 from repro.mac.csma import CsmaMac, MacConfig
+from repro.obs.observe import Observability
 from repro.phy.channel import Channel
 from repro.phy.propagation import FreeSpace, range_to_threshold_dbm
 from repro.phy.radio import RadioConfig, Transceiver
 from repro.sim.components import SimContext
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def sim() -> Simulator:
 
 @pytest.fixture
 def ctx() -> SimContext:
-    return SimContext(Simulator(), RandomStreams(42), Tracer())
+    return SimContext(Simulator(), RandomStreams(42), obs=Observability())
 
 
 def line_positions(n: int, spacing: float = 200.0) -> np.ndarray:
@@ -56,8 +56,8 @@ def make_mac_stack(ctx: SimContext, positions: np.ndarray,
 
 
 def line_network(protocol: str, n: int = 5, spacing: float = 200.0,
-                 range_m: float = 250.0, seed: int = 1, tracer: Tracer | None = None,
-                 protocol_config=None, obs=None):
+                 range_m: float = 250.0, seed: int = 1, protocol_config=None,
+                 obs=None):
     """A full stack on a line topology running the named protocol."""
     scenario = ScenarioConfig(
         n_nodes=n,
@@ -65,5 +65,5 @@ def line_network(protocol: str, n: int = 5, spacing: float = 200.0,
         range_m=range_m,
         seed=seed,
     )
-    return build_protocol_network(protocol, scenario, tracer=tracer,
+    return build_protocol_network(protocol, scenario,
                                   protocol_config=protocol_config, obs=obs)

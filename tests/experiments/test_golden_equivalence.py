@@ -10,6 +10,10 @@ tolerance (they are bitwise-identical on the recording machine; the
 tolerance only absorbs libm differences across platforms, not algorithmic
 drift).
 
+Each cell also runs with an :class:`~repro.obs.observe.Observability`
+attached: the pinned numbers must not move (observing never perturbs a
+run), and the ledger must pass the end-of-run invariants.
+
 If an intentional behaviour change ever shifts these numbers, re-record
 them in the same way and say so in the commit.
 """
@@ -23,6 +27,8 @@ from repro.experiments.common import (
     pick_flows,
 )
 from repro.experiments.fig1_ssaf import Fig1Config, campaign_spec
+from repro.faults.invariants import check_invariants
+from repro.obs.observe import Observability
 from repro.sim.rng import RandomStreams
 
 # (protocol, seed) -> (events_processed, tx_count, delivered, generated,
@@ -43,12 +49,12 @@ def EXACT(value):
     return pytest.approx(value, rel=1e-12, abs=0.0)
 
 
-def run_cell(protocol: str, seed: int):
+def run_cell(protocol: str, seed: int, obs: Observability | None = None):
     config = Fig1Config()
     scenario = ScenarioConfig(
         n_nodes=config.n_nodes, width_m=config.terrain_m,
         height_m=config.terrain_m, range_m=config.range_m, seed=seed)
-    net = build_protocol_network(protocol, scenario)
+    net = build_protocol_network(protocol, scenario, obs=obs)
     flows = pick_flows(config.n_nodes, config.n_connections,
                        RandomStreams(seed + 7777).stream("fig1.flows"),
                        distinct_endpoints=False)
@@ -57,10 +63,17 @@ def run_cell(protocol: str, seed: int):
     return net
 
 
-@pytest.mark.parametrize("protocol,seed", sorted(GOLDEN))
-def test_fig1_cell_matches_seed_implementation(protocol, seed):
+#: Every golden cell, unobserved (ids as recorded) and observed.
+CELLS = [pytest.param(protocol, seed, observed,
+                      id=f"{protocol}-{seed}" + ("-observed" if observed else ""))
+         for protocol, seed in sorted(GOLDEN) for observed in (False, True)]
+
+
+@pytest.mark.parametrize("protocol,seed,observed", CELLS)
+def test_fig1_cell_matches_seed_implementation(protocol, seed, observed):
     events, tx, delivered, generated, delay, hops, airtime = GOLDEN[(protocol, seed)]
-    net = run_cell(protocol, seed)
+    obs = Observability() if observed else None
+    net = run_cell(protocol, seed, obs)
     summary = net.summary()
 
     assert net.simulator.events_processed == events
@@ -71,6 +84,9 @@ def test_fig1_cell_matches_seed_implementation(protocol, seed):
     assert summary.avg_delay_s == EXACT(delay)
     assert summary.avg_hops == EXACT(hops)
     assert net.channel.airtime_s == EXACT(airtime)
+    if observed:
+        # Flooding forwards from many nodes by design: no single-forwarder.
+        assert check_invariants(obs, single_forwarder=False) == []
 
 
 @pytest.mark.slow

@@ -9,6 +9,10 @@ radio, MAC or packets must reproduce the same events in the same order,
 so the counters match exactly and the float metrics to within a strict
 tolerance that only absorbs libm differences across platforms.
 
+Each cell also runs with an :class:`~repro.obs.observe.Observability`
+attached: the pinned numbers must not move (observing never perturbs a
+run), and the ledger must pass the end-of-run invariants.
+
 If an intentional behaviour change ever shifts these numbers, re-record
 them and say so in the commit.
 """
@@ -21,6 +25,8 @@ from repro.experiments.common import (
     build_protocol_network,
     pick_flows,
 )
+from repro.faults.invariants import check_invariants
+from repro.obs.observe import Observability
 from repro.sim.rng import RandomStreams
 
 # Figure 3 density (≈ 125 nodes/km²) at a size that runs in well under a
@@ -50,11 +56,11 @@ def EXACT(value):
     return pytest.approx(value, rel=1e-12, abs=0.0)
 
 
-def run_cell(protocol: str, seed: int):
+def run_cell(protocol: str, seed: int, obs: Observability | None = None):
     """One fig3-shaped cell, wired like ``fig3_rr_vs_aodv.run_one``."""
     scenario = ScenarioConfig(n_nodes=N_NODES, width_m=TERRAIN_M,
                               height_m=TERRAIN_M, range_m=250.0, seed=seed)
-    net = build_protocol_network(protocol, scenario)
+    net = build_protocol_network(protocol, scenario, obs=obs)
     flows = pick_flows(N_NODES, N_PAIRS,
                        RandomStreams(seed + 8888).stream("fig3.flows"),
                        bidirectional=True, distinct_endpoints=True)
@@ -63,11 +69,18 @@ def run_cell(protocol: str, seed: int):
     return net
 
 
-@pytest.mark.parametrize("protocol,seed", sorted(GOLDEN))
-def test_fig3_cell_matches_recording(protocol, seed):
+#: Every golden cell, unobserved (ids as recorded) and observed.
+CELLS = [pytest.param(protocol, seed, observed,
+                      id=f"{protocol}-{seed}" + ("-observed" if observed else ""))
+         for protocol, seed in sorted(GOLDEN) for observed in (False, True)]
+
+
+@pytest.mark.parametrize("protocol,seed,observed", CELLS)
+def test_fig3_cell_matches_recording(protocol, seed, observed):
     events, tx, mac_packets, delivered, delay, hops, by_kind = \
         GOLDEN[(protocol, seed)]
-    net = run_cell(protocol, seed)
+    obs = Observability() if observed else None
+    net = run_cell(protocol, seed, obs)
     summary = net.summary()
 
     assert net.simulator.events_processed == events
@@ -77,3 +90,8 @@ def test_fig3_cell_matches_recording(protocol, seed):
     assert summary.delivered == delivered
     assert summary.avg_delay_s == EXACT(delay)
     assert summary.avg_hops == EXACT(hops)
+    if observed:
+        # Routeless retransmits on election timeouts; only AODV's unicast
+        # chains promise a single forwarder per hop.
+        assert check_invariants(
+            obs, single_forwarder=(protocol == "aodv")) == []

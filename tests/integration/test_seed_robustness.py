@@ -57,7 +57,8 @@ def test_rr_failure_resilience_across_seeds():
     for seed in SEEDS[:3]:
         aodv = routing_cell("aodv", seed, failure=0.10)
         rr = routing_cell("routeless", seed, failure=0.10)
-        if rr.delivery_ratio >= aodv.delivery_ratio - 0.01 and \
-                rr.mac_packets < aodv.mac_packets:
+        rr, aodv = rr.metrics, aodv.metrics
+        if rr["delivery_ratio"] >= aodv["delivery_ratio"] - 0.01 and \
+                rr["mac_packets"] < aodv["mac_packets"]:
             wins += 1
     assert wins >= 2, f"RR resilience held on only {wins}/3 seeds"

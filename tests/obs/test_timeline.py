@@ -10,7 +10,6 @@ from repro.obs.timeline import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.sim.trace import TraceRecord
 
 UID = (PacketKind.DATA, 0, 0)
 
@@ -55,16 +54,6 @@ def test_metadata_names_layer_processes_and_node_threads():
     threads = {(e["pid"], e["tid"]): e["args"]["name"]
                for e in by_name(events, "thread_name")}
     assert threads[(1, 0)] == "node 0" and threads[(1, 1)] == "node 1"
-
-
-def test_trace_records_land_in_trace_process():
-    record = TraceRecord(time=0.5, source="mac[7]", kind="backoff",
-                         detail={"slots": 3})
-    events = chrome_trace_events(PacketLedger(), [record])
-    (ev,) = by_name(events, "backoff")
-    assert ev["pid"] == 4 and ev["tid"] == 7
-    assert ev["cat"] == "mac"
-    assert ev["args"] == {"slots": "3"}
 
 
 def test_written_file_is_perfetto_loadable_json(tmp_path):

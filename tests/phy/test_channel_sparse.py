@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.obs.observe import Observability
 from repro.phy.channel import (
     AUTO_SPARSE_MIN_NODES,
     NEIGHBOR_CACHE_THRESHOLDS,
@@ -21,21 +22,19 @@ from repro.phy.propagation import (
 from repro.sim.components import SimContext
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 from tests.phy.rows import link_row
 
 
 @pytest.fixture
 def ctx2() -> SimContext:
     """A second independent context, for dense-vs-sparse comparisons."""
-    return SimContext(Simulator(), RandomStreams(42), Tracer())
+    return SimContext(Simulator(), RandomStreams(42), obs=Observability())
 
 
 @pytest.fixture
 def ctx_observed():
-    from repro.obs.observe import Observability
     obs = Observability()
-    return SimContext(Simulator(), RandomStreams(42), Tracer(), obs=obs), obs
+    return SimContext(Simulator(), RandomStreams(42), obs=obs), obs
 
 
 MODEL = FreeSpace()

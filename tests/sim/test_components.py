@@ -1,9 +1,9 @@
-"""Tests for the component/port model and tracing."""
+"""Tests for the component/port model."""
 
 import pytest
 
+from repro.obs.observe import Observability
 from repro.sim.components import Component, Outport, PortNotConnected, SimContext
-from repro.sim.trace import NullTracer, Tracer
 
 
 class TestOutport:
@@ -111,14 +111,6 @@ class TestComponent:
         assert fired == ["x"]
         assert comp.now == 2.0
 
-    def test_trace_records_time_and_source(self, ctx):
-        comp = Component(ctx, "radio[3]")
-        comp.trace("event", detail=1)
-        record = ctx.tracer.records[0]
-        assert record.source == "radio[3]"
-        assert record.kind == "event"
-        assert record.detail == {"detail": 1}
-
     def test_rng_streams_are_per_component(self, ctx):
         a = Component(ctx, "a").rng()
         b = Component(ctx, "b").rng()
@@ -133,39 +125,14 @@ class TestComponent:
         assert comp.outport("to_net").name == "mac[2].to_net"
 
 
-class TestTracer:
-    def test_null_tracer_drops_everything(self):
-        tracer = NullTracer()
-        tracer.emit(1.0, "s", "k", a=1)
-        assert len(tracer) == 0
+class TestSimContext:
+    def test_observing_is_a_plain_attribute(self):
+        assert "observing" not in vars(SimContext)  # no property
+        assert "tracing" not in vars(SimContext)
+        assert SimContext().observing is False
+        assert SimContext(obs=Observability()).observing is True
 
-    def test_kind_filter(self):
-        tracer = Tracer(kinds={"keep"})
-        tracer.emit(0.0, "s", "keep")
-        tracer.emit(0.0, "s", "drop")
-        assert [r.kind for r in tracer.records] == ["keep"]
-
-    def test_of_kind_iterates_matching(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "s", "a")
-        tracer.emit(0.0, "s", "b")
-        tracer.emit(0.0, "s", "a")
-        assert len(list(tracer.of_kind("a"))) == 2
-
-    def test_sink_callback(self):
-        seen = []
-        tracer = Tracer(sink=seen.append)
-        tracer.emit(0.0, "s", "k")
-        assert len(seen) == 1
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "s", "k")
-        tracer.clear()
-        assert len(tracer) == 0
-
-    def test_disabled_tracer_skips(self):
-        tracer = Tracer()
-        tracer.enabled = False
-        tracer.emit(0.0, "s", "k")
-        assert len(tracer) == 0
+    def test_observing_honours_enabled_at_construction(self):
+        obs = Observability()
+        obs.enabled = False
+        assert SimContext(obs=obs).observing is False
